@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
+from repro.slots import CompactSlots
+
 IP_HEADER_BYTES = 20
 TCP_HEADER_BYTES = 20
 DEFAULT_MSS = 1400
@@ -39,7 +41,7 @@ class FiveTuple(NamedTuple):
 _packet_ids = itertools.count()
 
 
-class Packet:
+class Packet(CompactSlots):
     """One IP packet in flight.
 
     ``seq`` is the byte offset of the payload start within the flow and

@@ -28,12 +28,14 @@ here for compatibility.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cc.base import CongestionControl
 from repro.cc.cubic import CUBIC_BETA, CUBIC_C, CubicCC, CubicState
 from repro.net.packet import DEFAULT_MSS, FiveTuple, Packet
-from repro.sim.engine import Event, EventEngine
+from repro.sim.engine import EventEngine, Timer
 
 if TYPE_CHECKING:
     from repro.telemetry.flowtrace import FlowTracer
@@ -67,7 +69,6 @@ class TcpFlow:
         initial_cwnd_segments: int = INITIAL_CWND_SEGMENTS,
         on_sender_done: Optional[Callable[["TcpFlow", int], None]] = None,
         tracer: Optional["FlowTracer"] = None,
-        fast_rtt: bool = False,
         cc: Optional[CongestionControl] = None,
     ) -> None:
         if size_bytes <= 0:
@@ -99,17 +100,13 @@ class TcpFlow:
         #: receiver holds above snd_una.
         self._sacked: list[list[int]] = []
         self._retx_time: dict[int, int] = {}  # hole -> last repair time
+        self._rebuild_retry()
         self.srtt_us: Optional[float] = None
         self.rttvar_us: float = 0.0
         self.rto_us = 1_000_000
         self.rto_backoff = 1
-        self._rto_event: Optional[Event] = None
+        self._rto_timer = Timer(engine, self._on_rto)
         self._send_times: dict[int, int] = {}  # seq -> send time (RTT samples)
-        #: Vectorized-backend fast path: O(1) amortized RTT sampling that
-        #: exploits the ascending insertion order of ``_send_times`` (see
-        #: ``_sample_rtt``).  Off by default so the reference backend runs
-        #: the original scan.
-        self._fast_rtt = fast_rtt
         self.done = False
         self.packets_sent = 0
         self.retransmits = 0
@@ -149,12 +146,16 @@ class TcpFlow:
         una = self.snd_una
         return sum(e - max(s, una) for s, e in self._sacked if e > una)
 
+    def _sacked_end(self, seq: int) -> Optional[int]:
+        """End of the SACKed interval holding byte ``seq`` (None: a hole)."""
+        idx = bisect_right(self._sacked, [seq + 1]) - 1
+        if idx >= 0 and seq < self._sacked[idx][1]:
+            return self._sacked[idx][1]
+        return None
+
     def _is_sacked(self, seq: int) -> bool:
         """True when byte ``seq`` lies inside a SACKed interval."""
-        from bisect import bisect_right
-
-        idx = bisect_right(self._sacked, [seq + 1]) - 1
-        return idx >= 0 and self._sacked[idx][0] <= seq < self._sacked[idx][1]
+        return self._sacked_end(seq) is not None
 
     def pipe_bytes(self) -> int:
         """RFC 6675 pipe estimate: bytes believed to be in the network."""
@@ -226,7 +227,7 @@ class TcpFlow:
                     # back to ssthresh (NewReno/RFC 6675).
                     self.recovery_point = None
                     self.dupacks = 0
-                    self._retx_time.clear()
+                    self._reset_retry()
                     self.cc.on_recovery_exit(now)
                     self._trim_sacked()
                 else:
@@ -280,73 +281,103 @@ class TcpFlow:
     def _retransmit_holes(self, budget: int = 3) -> None:
         """Retransmit up to ``budget`` un-SACKed holes below recovery.
 
-        Holes are the gaps between scoreboard intervals, walked directly
-        (no per-segment scan).  A hole whose repair was itself lost is
-        retried once ~1.5 smoothed RTTs have passed since the last
-        attempt (otherwise a single lost retransmission stalls the whole
-        recovery until the RTO).
+        Holes are the MSS segments between snd_una and the recovery point
+        that no scoreboard interval covers (segments start at multiples
+        of the MSS, so every ACK and SACK edge is a segment edge or the
+        end of the flow); they go out in seq order.  A
+        hole whose repair was itself lost is retried once ~1.5 smoothed
+        RTTs have passed since the last attempt (otherwise a single lost
+        retransmission stalls the whole recovery until the RTO).
+
+        Work per call is O(budget + log n), not a walk over every
+        segment already retried: tried holes wait in ``_retry_heap`` in
+        repair-time order and move to the seq-ordered ``_due_heap`` once
+        their retry time has passed, and every hole at or above
+        ``_frontier`` is untried (every one below it was tried).
         """
         if self.recovery_point is None:
             return
         now = self.engine.now_us
         retry_after = int((self.srtt_us or 50_000) * 1.5)
-        limit = min(self.recovery_point, self.size_bytes)
+        retry_heap = self._retry_heap
+        due = self._due_heap
+        while retry_heap and now - retry_heap[0][0] > retry_after:
+            heappush(due, heappop(retry_heap)[1])
         sent = 0
-        cursor = self.snd_una
-        intervals = self._sacked + [[limit, limit]]
-        for start, end in intervals:
-            if sent >= budget or cursor >= limit:
-                break
-            gap_end = min(start, limit)
-            seq = cursor
-            while seq < gap_end and sent < budget:
-                length = min(self.mss, self.size_bytes - seq)
-                if length <= 0:
-                    break
-                last = self._retx_time.get(seq)
-                if last is None or now - last > retry_after:
-                    self._transmit(seq, length, is_retx=True)
-                    self._retx_time[seq] = now
-                    sent += 1
-                seq += self.mss
-            cursor = max(cursor, end)
+        # Tried holes first: they all lie below the frontier.  Holes only
+        # shrink until the next _reset_retry, so a segment acked or
+        # SACKed since is dropped for good; one whose retry time moved
+        # out again (SRTT grew) goes back to wait in time order.
+        while due and sent < budget:
+            seq = heappop(due)
+            if seq < self.snd_una or self._is_sacked(seq):
+                continue
+            last = self._retx_time[seq]
+            if now - last > retry_after:
+                self._repair(seq, now)
+                sent += 1
+            else:
+                heappush(retry_heap, (last, seq))
+        # Then untried holes, walking up from the frontier.
+        limit = min(self.recovery_point, self.size_bytes)
+        seq = max(self._frontier, self.snd_una)
+        while sent < budget and seq < limit:
+            end = self._sacked_end(seq)
+            if end is not None:
+                seq = end
+                continue
+            self._repair(seq, now)
+            sent += 1
+            seq += self.mss
+            self._frontier = seq
+
+    def _repair(self, seq: int, now: int) -> None:
+        self._transmit(seq, min(self.mss, self.size_bytes - seq), is_retx=True)
+        self._retx_time[seq] = now
+        heappush(self._retry_heap, (now, seq))
+
+    def _reset_retry(self) -> None:
+        """Forget every repair (a new recovery episode, or none)."""
+        self._retx_time.clear()
+        self._rebuild_retry()
+
+    def _rebuild_retry(self) -> None:
+        """Derive the hole-repair queues from ``_retx_time``.
+
+        The frontier is one segment above the highest repair: untried
+        holes are repaired in seq order at the frontier, every other
+        repair lies below it.
+        """
+        retx = self._retx_time
+        # A sorted list is a valid heap.
+        self._retry_heap = sorted((last, seq) for seq, last in retx.items())
+        self._due_heap: list[int] = []
+        self._frontier = max(retx) + self.mss if retx else 0
 
     def _fast_retransmit(self, now_us: int) -> None:
         if self.tracer is not None:
             self.tracer.on_tcp_recovery(self.flow_id, now_us)
         self.recovery_point = self.snd_nxt
         self.cc.on_loss(now_us)
-        self._retx_time.clear()
+        self._reset_retry()
         self._retransmit_holes()
         self._arm_rto()
 
     def _sample_rtt(self, ack_seq: int, now_us: int) -> None:
         # Use the send time of the highest fully acked segment we timed.
-        if self._fast_rtt:
-            # ``_send_times`` keys are inserted in strictly ascending seq
-            # order (non-retx sends only happen at seq >= max_sent; retx
-            # removes keys), so the acked entries form a prefix and the
-            # last popped one is the highest -- identical sample and
-            # identical surviving keys to the scan below, without the
-            # per-ACK pass over every outstanding timed segment.
-            st = self._send_times
-            sent = None
-            while st:
-                seq = next(iter(st))
-                if seq >= ack_seq:
-                    break
-                sent = st.pop(seq)
-            if sent is None:
-                return
-        else:
-            sampled = [
-                (seq, t) for seq, t in self._send_times.items() if seq < ack_seq
-            ]
-            if not sampled:
-                return
-            seq, sent = max(sampled, key=lambda item: item[0])
-            for key, _ in sampled:
-                del self._send_times[key]
+        # ``_send_times`` keys are inserted in strictly ascending seq order
+        # (non-retx sends only happen at seq >= max_sent; retx removes
+        # keys), so the acked entries form a prefix and the last one popped
+        # is the highest: no pass over every outstanding timed segment.
+        st = self._send_times
+        sent = None
+        while st:
+            seq = next(iter(st))
+            if seq >= ack_seq:
+                break
+            sent = st.pop(seq)
+        if sent is None:
+            return
         rtt = now_us - sent
         if self.srtt_us is None:
             self.srtt_us = float(rtt)
@@ -365,27 +396,20 @@ class TcpFlow:
     # -- RTO -----------------------------------------------------------------
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
         if self.done or self.snd_una >= self.size_bytes:
-            return
-        if self.inflight_bytes <= 0 and self.snd_nxt >= self.size_bytes:
-            pass  # everything sent, waiting for last ACKs: keep timer
-        self._rto_event = self.engine.schedule_in(
-            self.rto_us * self.rto_backoff, self._on_rto
-        )
+            self._rto_timer.cancel()
+        else:
+            self._rto_timer.arm_in(self.rto_us * self.rto_backoff)
 
     def _on_rto(self) -> None:
         if self.done:
             return
-        self._rto_event = None
         self.rto_firings += 1
         if self.tracer is not None:
             self.tracer.on_tcp_rto(self.flow_id, self.engine.now_us)
         self.cc.on_rto(self.engine.now_us)
         self.dupacks = 0
-        self._retx_time.clear()
+        self._reset_retry()
         # Karn's ambiguity extends past the retransmitted segment: any
         # outstanding segment cum-acked *after* this timeout measures the
         # repair stall, not the path (a ~16 ms RTT once sampled as the
@@ -408,11 +432,46 @@ class TcpFlow:
 
     def _finish(self, now_us: int) -> None:
         self.done = True
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto_timer.cancel()
         if self.on_sender_done is not None:
             self.on_sender_done(self, now_us)
+
+    # -- pickling (session checkpoints) --------------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for key in _DERIVED_SENDER_STATE:
+            del state[key]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints from before the RTO timer hold ``_rto_event`` (and
+        # the retired ``_fast_rtt`` switch).  The pending event may not
+        # be restored yet, so the engine hands it to the timer.
+        legacy = "_rto_event" in state
+        rto_event = state.pop("_rto_event", None)
+        state.pop("_fast_rtt", None)
+        self.__dict__.update(state)
+        if legacy:
+            self._rto_timer = Timer(self.engine, self._on_rto)
+            if rto_event is not None:
+                self._rto_timer._adopt(rto_event)
+        self._rebuild_retry()
+
+
+#: TcpFlow attributes rebuilt from ``_retx_time`` on load.
+_DERIVED_SENDER_STATE = ("_retry_heap", "_due_heap", "_frontier")
+
+
+def _merge_intervals(out_of_order: dict[int, int]) -> list[list[int]]:
+    """Sorted, merged ``[start, end)`` ranges; touching ranges merge."""
+    merged: list[list[int]] = []
+    for start, end in sorted(out_of_order.items()):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return merged
 
 
 class TcpReceiver:
@@ -438,6 +497,9 @@ class TcpReceiver:
         self.on_complete = on_complete
         self.rcv_nxt = 0
         self._out_of_order: dict[int, int] = {}  # seq -> end_seq
+        #: ``_out_of_order`` merged into sorted, disjoint, non-touching
+        #: ranges (the SACK payload), kept up to date on every insert.
+        self._blocks: list[list[int]] = []
         self.sack_enabled = True
         self.completed_us: Optional[int] = None
         self.packets_received = 0
@@ -454,12 +516,15 @@ class TcpReceiver:
             if packet.seq <= self.rcv_nxt:
                 self.rcv_nxt = packet.end_seq
                 # Pull any buffered contiguous segments forward.
-                while self.rcv_nxt in self._out_of_order:
-                    self.rcv_nxt = self._out_of_order.pop(self.rcv_nxt)
+                if self.rcv_nxt in self._out_of_order:
+                    while self.rcv_nxt in self._out_of_order:
+                        self.rcv_nxt = self._out_of_order.pop(self.rcv_nxt)
+                    self._blocks = _merge_intervals(self._out_of_order)
             else:
                 self._out_of_order[packet.seq] = max(
                     self._out_of_order.get(packet.seq, 0), packet.end_seq
                 )
+                self._insert_block(packet.seq, packet.end_seq)
         self.bytes_received = self.rcv_nxt
         if self.rcv_nxt >= self.size_bytes and self.completed_us is None:
             self.completed_us = now_us
@@ -481,14 +546,31 @@ class TcpReceiver:
         ack.ece = packet.ecn_ce
         self.send_ack(ack)
 
+    def _insert_block(self, start: int, end: int) -> None:
+        """Merge ``[start, end)`` into ``_blocks``."""
+        blocks = self._blocks
+        i = bisect_left(blocks, [start])
+        if i > 0 and blocks[i - 1][1] >= start:
+            i -= 1
+            start = blocks[i][0]
+            end = max(end, blocks[i][1])
+        j = i
+        while j < len(blocks) and blocks[j][0] <= end:
+            end = max(end, blocks[j][1])
+            j += 1
+        blocks[i:j] = [[start, end]]
+
     def sack_blocks(self, limit: int = 4) -> tuple:
         """Merged out-of-order byte ranges (the SACK option payload)."""
-        if not self._out_of_order:
-            return ()
-        merged: list[list[int]] = []
-        for start, end in sorted(self._out_of_order.items()):
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        return tuple((s, e) for s, e in merged[:limit])
+        return tuple((s, e) for s, e in self._blocks[:limit])
+
+    # -- pickling (session checkpoints) --------------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_blocks"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._blocks = _merge_intervals(self._out_of_order)

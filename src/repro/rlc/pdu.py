@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.packet import Packet
+from repro.slots import CompactSlots
 
 #: Per-SDU RLC/MAC header overhead inside a PDU (length indicator etc.).
 RLC_HEADER_BYTES = 3
@@ -21,7 +22,7 @@ RLC_HEADER_BYTES = 3
 _sdu_ids = itertools.count()
 
 
-class RlcSdu:
+class RlcSdu(CompactSlots):
     """One queued RLC SDU and its transmission progress."""
 
     __slots__ = (

@@ -344,7 +344,6 @@ class CellSimulation:
             initial_cwnd_segments=self.config.tcp_initial_cwnd,
             on_sender_done=self._on_sender_done,
             tracer=self.flow_trace,
-            fast_rtt=self.config.backend == "vectorized",
             cc=make_cc(
                 self.config.cc,
                 initial_cwnd_segments=self.config.tcp_initial_cwnd,

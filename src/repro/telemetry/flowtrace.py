@@ -61,6 +61,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from repro.slots import CompactSlots
+
 if TYPE_CHECKING:  # circular-import-free type hints only
     from repro.net.packet import Packet
     from repro.rlc.pdu import RlcSdu
@@ -144,7 +146,7 @@ class FlowBreakdown:
         }
 
 
-class _Leg:
+class _Leg(CompactSlots):
     """One copy of one TCP segment crossing the stack (see module doc)."""
 
     __slots__ = (
@@ -181,7 +183,7 @@ class _Leg:
         )
 
 
-class _FlowTrace:
+class _FlowTrace(CompactSlots):
     """Mutable per-flow tracing state."""
 
     __slots__ = (
