@@ -28,6 +28,11 @@ from scipy import optimize
 
 SizeSampler = Callable[[np.random.Generator, int], np.ndarray]
 
+#: Objective value of a candidate ladder that is not strictly increasing
+#: (``mean_fct_model`` returns inf).  Finite, so the L-BFGS-B polish's
+#: finite differences never take ``inf - inf``.
+INFEASIBLE_PENALTY = 1e30
+
 
 def geometric_thresholds(
     first_bytes: int = 20_000, factor: float = 5.0, num_queues: int = 4
@@ -111,7 +116,8 @@ def optimize_thresholds(
 
     def objective(log_thresholds: np.ndarray) -> float:
         thresholds = np.sort(10.0**log_thresholds)
-        return mean_fct_model(thresholds, sizes, load)
+        value = mean_fct_model(thresholds, sizes, load)
+        return value if np.isfinite(value) else INFEASIBLE_PENALTY
 
     result = optimize.differential_evolution(
         objective,

@@ -75,6 +75,9 @@ class HarqEntity:
         #: Flow-lifecycle tracer (None keeps failure/retx paths emit-free).
         self.tracer = tracer
         self._pending: deque[HarqProcess] = deque()
+        #: Bytes awaiting retransmission (``sum(p.tb_bytes)`` over the
+        #: pending queue, kept incrementally for the per-TTI backlog check).
+        self.pending_bytes = 0
         self.retransmissions = 0
         self.abandoned = 0
 
@@ -95,16 +98,12 @@ class HarqEntity:
             return None
         process = HarqProcess(items, tb_bytes, error_prob, now_us + self.rtt_us)
         self._pending.append(process)
+        self.pending_bytes += tb_bytes
         return process
 
     def due_processes(self, now_us: int) -> list[HarqProcess]:
         """Pending retransmissions whose HARQ RTT has elapsed."""
         return [p for p in self._pending if p.due_us <= now_us]
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes awaiting retransmission (for scheduling/backlog checks)."""
-        return sum(p.tb_bytes for p in self._pending)
 
     @property
     def has_pending(self) -> bool:
@@ -129,13 +128,26 @@ class HarqEntity:
             )
         if decoded:
             self._pending.remove(process)
+            self.pending_bytes -= process.tb_bytes
             return True
         if process.attempts > self.max_retx:
             self._pending.remove(process)
+            self.pending_bytes -= process.tb_bytes
             self.abandoned += 1
         else:
             process.due_us = now_us + self.rtt_us
         return False
+
+    # -- pickling (session checkpoints) --------------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["pending_bytes"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.pending_bytes = sum(p.tb_bytes for p in self._pending)
 
 
 def _flow_ids(items: Sequence) -> set[int]:

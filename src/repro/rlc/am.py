@@ -98,6 +98,10 @@ class AmTransmitter:
         self._unacked: "OrderedDict[int, _UnackedPdu]" = OrderedDict()
         self._retx_queue: deque[int] = deque()
         self._retx_pending: set[int] = set()
+        #: Wire bytes of the still-unacked PDUs in the Retx Q, kept
+        #: incrementally: NACK and poll-timer enqueue add, a retx pop or
+        #: the ACK of a queued SN subtracts.
+        self.retx_bytes = 0
         self._ctrl_queue: deque[AmStatus] = deque()
         self._pdus_since_poll = 0
         self._poll_outstanding_since: Optional[int] = None
@@ -139,6 +143,7 @@ class AmTransmitter:
                 break
             self._retx_queue.popleft()
             self._retx_pending.discard(sn)
+            self.retx_bytes -= entry.wire_bytes
             entry.retx_count += 1
             entry.sent_us = now_us
             if entry.retx_count > MAX_RETX:
@@ -177,11 +182,14 @@ class AmTransmitter:
             if sn < status.ack_sn and sn not in status.nacks
         ]
         for sn in acked:
-            del self._unacked[sn]
+            entry = self._unacked.pop(sn)
+            if sn in self._retx_pending:
+                self.retx_bytes -= entry.wire_bytes
         for sn in status.nacks:
             if sn in self._unacked and sn not in self._retx_pending:
                 self._retx_queue.append(sn)
                 self._retx_pending.add(sn)
+                self.retx_bytes += self._unacked[sn].wire_bytes
 
     def _check_poll_timer(self, now_us: int) -> None:
         """t-PollRetransmit expiry: retransmit the oldest unacked PDU."""
@@ -192,20 +200,16 @@ class AmTransmitter:
         self._poll_outstanding_since = now_us  # re-arm
         if not self._unacked:
             return
-        oldest_sn = next(iter(self._unacked))
+        oldest_sn, oldest = next(iter(self._unacked.items()))
         if oldest_sn not in self._retx_pending:
             self._retx_queue.appendleft(oldest_sn)
             self._retx_pending.add(oldest_sn)
+            self.retx_bytes += oldest.wire_bytes
             self.spurious_retx += 1
 
     def buffer_status(self, now_us: int) -> BufferStatusReport:
         """BSR including Retx and Ctrl backlogs (served first in AM)."""
         base = self._tx.buffer_status(now_us)
-        retx_bytes = sum(
-            self._unacked[sn].wire_bytes
-            for sn in self._retx_queue
-            if sn in self._unacked
-        )
         ctrl_bytes = sum(status.wire_bytes for status in self._ctrl_queue)
         return BufferStatusReport(
             ue_id=self.ue_id,
@@ -213,7 +217,7 @@ class AmTransmitter:
             head_level=base.head_level,
             level_bytes=base.level_bytes,
             hol_delay_us=base.hol_delay_us,
-            retx_bytes=retx_bytes,
+            retx_bytes=self.retx_bytes,
             ctrl_bytes=ctrl_bytes,
         )
 
@@ -272,6 +276,26 @@ class AmTransmitter:
     def retx_queue_depth(self) -> int:
         """PDUs currently queued for retransmission."""
         return len(self._retx_queue)
+
+    @property
+    def has_ctrl(self) -> bool:
+        """Whether a control PDU is waiting in the Ctrl Q."""
+        return bool(self._ctrl_queue)
+
+    # -- pickling (session checkpoints) --------------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["retx_bytes"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.retx_bytes = sum(
+            self._unacked[sn].wire_bytes
+            for sn in self._retx_queue
+            if sn in self._unacked
+        )
 
 
 class AmReceiver:

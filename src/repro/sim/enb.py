@@ -2,9 +2,9 @@
 
 Every TTI the :class:`XNodeB`:
 
-1. refreshes the per-UE buffer status reports (including OutRAN's MLFQ
+1. refreshes the buffer status reports (including OutRAN's MLFQ
    priority attribute) and the oracle fields the clairvoyant baselines
-   read,
+   read, for the UEs whose backlog may have changed (the wake set),
 2. asks the configured MAC scheduler to allocate the RB grid against the
    latest CQI-derived rate matrix,
 3. converts each UE's RB share into a byte grant, lets the RLC entity
@@ -16,13 +16,12 @@ Every TTI the :class:`XNodeB`:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from time import perf_counter_ns
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.mac.bsr import empty_report
+from repro.mac.bsr import BufferStatusReport, empty_report
 from repro.mac.harq import HarqEntity
 from repro.mac.kernels import KernelWorkspace, SchedArrays
 from repro.mac.qos import CqaScheduler, ExpPfScheduler, MlwdfScheduler, PssScheduler
@@ -87,6 +86,10 @@ class XNodeB:
         self._sched_states = [ue.sched for ue in self.ues]
         self._empty_reports = [empty_report(ue.index) for ue in self.ues]
         self._needs_oracle = _needs_oracle(scheduler)
+        #: Indices of the UEs whose backlog may have changed since the
+        #: last TTI's scan.  Every UE outside it has no RLC backlog, no
+        #: HARQ bytes and an empty report, so the scan can skip it.
+        self._wake: set[int] = set(range(len(self.ues)))
         # Vectorized backend: array-backed scheduler state + preallocated
         # kernel workspace.  While batched, SchedArrays is the source of
         # truth for EWMA/last-served (the per-UE objects go stale until
@@ -183,6 +186,7 @@ class XNodeB:
             self._flowtrace.on_enb_ingress(packet, now)
         level, eager_sn = ue.pdcp.ingress(packet, now)
         sdu = ue.rlc.write_sdu(packet, level, now)
+        self._wake.add(ue_index)
         # Drops are tallied from the RLC counters at harvest time.
         if sdu is not None and eager_sn is not None:
             sdu.pdcp_sn = eager_sn
@@ -223,22 +227,29 @@ class XNodeB:
             controls, self._pending_controls = self._pending_controls, []
             for apply in controls:
                 apply()
+            self._wake.update(range(len(self.ues)))
         now = self.engine.now_us
         self.ttis_run += 1
         arrays = self._arrays
         backlogged: list[int] = []
-        for ue in self.ues:
-            harq = self._harq[ue.index] if self._harq is not None else None
-            harq_bytes = harq.pending_bytes if harq is not None else 0
+        for ue_index in sorted(self._wake):
+            ue = self.ues[ue_index]
+            harq_bytes = (
+                self._harq[ue_index].pending_bytes if self._harq is not None else 0
+            )
             if ue.has_backlog() or harq_bytes:
                 bsr = ue.rlc.buffer_status(now)
                 if harq_bytes:
                     # HARQ retransmissions outrank new data: advertise them
                     # like RLC retx backlog at the top priority.
-                    bsr = replace(
-                        bsr,
+                    bsr = BufferStatusReport(
+                        ue_id=bsr.ue_id,
+                        total_bytes=bsr.total_bytes,
+                        head_level=0,
+                        level_bytes=bsr.level_bytes,
+                        hol_delay_us=bsr.hol_delay_us,
                         retx_bytes=bsr.retx_bytes + harq_bytes,
-                        head_level=0 if bsr.head_level is None else min(bsr.head_level, 0),
+                        ctrl_bytes=bsr.ctrl_bytes,
                     )
                 ue.sched.bsr = bsr
                 backlogged.append(ue.index)
@@ -255,6 +266,10 @@ class XNodeB:
                 ue.sched.backlog_since_us = None
                 if arrays is not None:
                     arrays.clear_report(ue.index)
+        # Only a UE backlogged now can be granted (and so gain HARQ or AM
+        # poll-timer retx bytes); any other change arrives through
+        # ingress() or _deliver_status(), which wake the UE.
+        self._wake = set(backlogged)
         served_bits = np.zeros(len(self.ues))
         owner = None
         grant_bits = np.zeros(len(self.ues))
@@ -431,6 +446,18 @@ class XNodeB:
     def _deliver_status(self, ue: UeContext, status: AmStatus) -> None:
         with self._sec_rlc:
             ue.rlc.receive_status(status, self.engine.now_us)
+        self._wake.add(ue.index)
+
+    # -- pickling (session checkpoints) --------------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_wake"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._wake = set(range(len(self.ues)))
 
     # -- telemetry -------------------------------------------------------------
 

@@ -126,11 +126,11 @@ class UeContext:
 
     def has_backlog(self) -> bool:
         """Cheap check whether the UE needs a grant this TTI."""
-        if self.rlc.buffered_bytes > 0:
+        rlc = self.rlc
+        if rlc.buffered_bytes > 0:
             return True
         if self.is_am:
-            bsr = self.rlc.buffer_status(0)
-            return bsr.retx_bytes > 0 or bsr.ctrl_bytes > 0
+            return rlc.retx_bytes > 0 or rlc.has_ctrl
         return False
 
     def refresh_oracle(self, now_us: int, qos_oracle: bool) -> None:

@@ -88,28 +88,6 @@ class PageLoadSession:
             self.network_done_us = now_us
 
 
-#: Names that moved to ``repro.traffic.nonstationary`` (kept importable
-#: from here behind a deprecation shim; see module ``__getattr__``).
-_MOVED_TO_TRAFFIC = ("NonStationaryLoad", "LoadPhase", "PHASE_FLOW_ID_STRIDE")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_TRAFFIC:
-        import warnings
-
-        warnings.warn(
-            f"repro.sim.webload.{name} moved to repro.traffic; "
-            f"import it from repro.traffic (or "
-            f"repro.traffic.nonstationary) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.traffic import nonstationary
-
-        return getattr(nonstationary, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 #: Flow id of the persistent bulk transfer on the browsing UE.
 BULK_FLOW_ID = 900_000
 

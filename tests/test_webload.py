@@ -17,16 +17,6 @@ from repro.traffic.webpage import PAGES_BY_NAME, Webpage
 
 
 class TestWebloadDeprecationShim:
-    def test_moved_names_importable_with_warning(self):
-        import repro.sim.webload as webload
-
-        for name in ("NonStationaryLoad", "LoadPhase", "PHASE_FLOW_ID_STRIDE"):
-            with pytest.warns(DeprecationWarning, match="moved to repro.traffic"):
-                obj = getattr(webload, name)
-            assert obj is getattr(
-                __import__("repro.traffic", fromlist=[name]), name
-            )
-
     def test_unknown_attribute_still_raises(self):
         import repro.sim.webload as webload
 
